@@ -242,12 +242,10 @@ def expand_message(h: HashFunction, data: bytes, out_len: int) -> bytes:
     """Expand ``data`` into ``out_len`` bytes with counter-mode hashing."""
     if out_len < 0:
         raise InvalidParameterError("out_len must be >= 0")
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < out_len:
-        blocks.append(h.digest(struct.pack(">I", counter) + data))
-        counter += 1
-    return b"".join(blocks)[:out_len]
+    blocks = -(-out_len // h.digest_size)
+    return b"".join(
+        h.digest(struct.pack(">I", counter) + data) for counter in range(blocks)
+    )[:out_len]
 
 
 def hash_to_int(h: HashFunction, data: bytes, bits: int) -> int:

@@ -13,12 +13,17 @@ with
 plus each subdocument encrypted (authenticated) under its configuration's
 key.  The whole package serializes to a single byte string; subscribers
 need nothing else besides their CSSs.
+
+Decoding shares the identifier strings (document, configuration id,
+condition keys, subdocument names) through :func:`_shared_name`: every
+receiver of a broadcast then holds one copy of each name instead of its
+own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SerializationError
 from repro.gkm.strategy import KeyingHeader, decode_keying_header
@@ -32,6 +37,22 @@ from repro.wire.codec import (
 __all__ = ["ConfigHeader", "EncryptedSubdocument", "BroadcastPackage"]
 
 _MAGIC = b"BPK1"
+
+#: Distinct names :func:`_shared_name` keeps before starting over.
+_SHARED_NAMES_MAX = 4096
+_shared_names: Dict[str, str] = {}
+
+
+def _shared_name(name: str) -> str:
+    """The process-wide copy of a decoded identifier.
+
+    Unlike ``sys.intern`` (whose strings are immortal on some CPython
+    versions), the table is bounded, so names from hostile packages
+    cannot pile up.
+    """
+    if len(_shared_names) >= _SHARED_NAMES_MAX:
+        _shared_names.clear()
+    return _shared_names.setdefault(name, name)
 
 
 @dataclass(frozen=True)
@@ -65,12 +86,14 @@ class ConfigHeader:
     @classmethod
     def from_bytes_at(cls, data: bytes, offset: int) -> Tuple["ConfigHeader", int]:
         cursor = Cursor(data, offset)
-        config_id = cursor.read_str()
+        config_id = _shared_name(cursor.read_str())
         n_policies = cursor.read_u16()
         policies: List[Tuple[str, ...]] = []
         for _ in range(n_policies):
             n_conds = cursor.read_u16()
-            policies.append(tuple(cursor.read_str() for _ in range(n_conds)))
+            policies.append(
+                tuple(_shared_name(cursor.read_str()) for _ in range(n_conds))
+            )
         acv_raw = cursor.read_bytes()
         acv = decode_keying_header(acv_raw) if acv_raw else None
         return (
@@ -100,8 +123,8 @@ class EncryptedSubdocument:
         cls, data: bytes, offset: int
     ) -> Tuple["EncryptedSubdocument", int]:
         cursor = Cursor(data, offset)
-        name = cursor.read_str()
-        config_id = cursor.read_str()
+        name = _shared_name(cursor.read_str())
+        config_id = _shared_name(cursor.read_str())
         ciphertext = cursor.read_bytes()
         return cls(name=name, config_id=config_id, ciphertext=ciphertext), cursor.offset
 
@@ -130,7 +153,7 @@ class BroadcastPackage:
         cursor = Cursor(data)
         if cursor.take(4) != _MAGIC:
             raise SerializationError("bad magic")
-        document = cursor.read_str()
+        document = _shared_name(cursor.read_str())
         n_headers = cursor.read_u16()
         headers = []
         for _ in range(n_headers):

@@ -26,11 +26,12 @@ the matrix has few rows.
 
 from __future__ import annotations
 
+import operator
 import random
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashes import HashFunction, default_hash, hash_concat
 from repro.crypto.kdf import derive_key
@@ -50,6 +51,7 @@ __all__ = [
     "AcvBgkm",
     "AcvBroadcastGkm",
     "AcvFactorization",
+    "KevMemo",
     "PAPER_FIELD",
     "FAST_FIELD",
 ]
@@ -385,6 +387,23 @@ class AcvBgkm:
 
     # -- subscriber side -----------------------------------------------------
 
+    @staticmethod
+    def _check_header(header: AcvHeader) -> None:
+        """Reject headers no publisher emits, typed, before any hashing.
+
+        The checks live at derivation time (not only in
+        :meth:`AcvHeader.from_bytes`) because the bucketed candidate scan
+        and in-process callers hand over headers that never went through
+        the parser: a short ``X`` must fail typed, not with a bare
+        ``IndexError``.
+        """
+        if len(header.x) != header.capacity + 1:
+            raise KeyDerivationError("header X has wrong arity")
+        if header.q < 2:
+            raise KeyDerivationError("header modulus is not a valid field")
+        if not header.zs:
+            raise KeyDerivationError("header carries no nonces")
+
     def key_extraction_vector(
         self, header: AcvHeader, css: Sequence[bytes]
     ) -> Tuple[int, ...]:
@@ -392,16 +411,8 @@ class AcvBgkm:
 
         Entries multiplying a zero coordinate of ``X`` are skipped (left 0),
         which both mirrors the compressed broadcast and speeds derivation.
-
-        The arity/modulus checks live here (not only in :meth:`derive`)
-        because the bucketed candidate scan calls this directly with
-        attacker-influenced headers: a short ``X`` must fail typed, not
-        with a bare ``IndexError``.
         """
-        if len(header.x) != header.capacity + 1:
-            raise KeyDerivationError("header X has wrong arity")
-        if header.q < 2:
-            raise KeyDerivationError("header modulus is not a valid field")
+        self._check_header(header)
         q = header.q
         h = self.hash_fn
         parts = [bytes(c) for c in css]
@@ -411,21 +422,104 @@ class AcvBgkm:
                 kev[j + 1] = hash_concat(h, parts + [z], q)
         return tuple(kev)
 
-    def derive(self, header: AcvHeader, css: Sequence[bytes]) -> int:
+    def derive(
+        self,
+        header: AcvHeader,
+        css: Sequence[bytes],
+        memo: Optional["KevMemo"] = None,
+        slot: Hashable = 0,
+    ) -> int:
         """Derive ``K = KEV . X`` (Section V-C "Decryption Key Derivation").
 
         The result is only the *correct* key when the CSS tuple matches a
         qualified row; otherwise it is an unpredictable field element --
         callers detect failure through authenticated decryption.
+
+        Without ``memo`` every ``a_j`` is hashed afresh (the reference
+        path).  With one, the ``a_j`` already computed for this CSS tuple
+        at ``slot`` (where the header sits in its package) are reused and
+        only nonces the memo has not seen there are hashed; the key is
+        the same either way.
         """
+        if memo is None:
+            kev = self.key_extraction_vector(header, css)
+            return sum(a * b for a, b in zip(kev, header.x)) % header.q
+        self._check_header(header)
         q = header.q
-        kev = self.key_extraction_vector(header, css)
-        return sum(a * b for a, b in zip(kev, header.x)) % q
+        x = header.x
+        h = self.hash_fn
+        parts = [bytes(c) for c in css]
+        values = memo.values_for(h, q, tuple(parts), slot, header.zs)
+        if None in values:
+            for j, z in enumerate(header.zs):
+                if values[j] is None and x[j + 1]:
+                    values[j] = hash_concat(h, parts + [z], q)
+            total = sum(a * b for a, b in zip(values, x[1:]) if b)
+        else:
+            total = sum(map(operator.mul, values, x[1:]))
+        return (x[0] + total) % q
 
     def export_key(self, key: int, key_len: int = 16) -> bytes:
         """Map the group key ``K in F_q`` to symmetric key bytes."""
         raw = key.to_bytes(self.field.byte_length, "big")
         return derive_key(raw, key_len, info=b"repro/acv-bgkm/doc-key")
+
+
+class KevMemo:
+    """One subscriber's memo of KEV hashes ``a_j = H(css || z_j) mod q``.
+
+    An entry is keyed on the CSS *bytes* and the header's slot, and holds
+    the modulus, hash function and nonce tuple of the last header derived
+    there together with the ``a_j`` computed for it (``None`` where ``X``
+    had a zero coordinate and the hash was skipped).  Looking a header up
+    covers the three kinds of traffic: identical nonces (an ACV-cache hit)
+    reuse every value, nonces extending the old tuple (a pure join) keep
+    the old values and leave the appended ones to hash, and anything else
+    (a revoke draws fresh nonces) starts an empty list.  The new header
+    always replaces the entry, so the memo holds at most one header per
+    (CSS tuple, slot) and never needs an eviction policy.
+
+    ``a_j`` is a pure function of ``(hash, q, css, z_j)``, so a reused
+    value can never be wrong, only dead.  The memo is process-local: it is
+    never persisted, logged or sent anywhere.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: Dict[tuple, tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        """Forget everything (the owner's credentials changed)."""
+        self._entries.clear()
+
+    def values_for(
+        self,
+        hash_fn: HashFunction,
+        q: int,
+        css: Tuple[bytes, ...],
+        slot: Hashable,
+        zs: Tuple[bytes, ...],
+    ) -> List[Optional[int]]:
+        """The ``a_j`` list for nonces ``zs`` (``None`` = not hashed yet),
+        stored as the entry for ``(css, slot)``; the caller fills it in."""
+        key = (css, slot)
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] is hash_fn and entry[1] == q:
+            old_zs, values = entry[2], entry[3]
+            if old_zs == zs:
+                return values
+            n = len(old_zs)
+            if n < len(zs) and zs[:n] == old_zs:
+                values = values + [None] * (len(zs) - n)
+                self._entries[key] = (hash_fn, q, zs, values)
+                return values
+        values = [None] * len(zs)
+        self._entries[key] = (hash_fn, q, zs, values)
+        return values
 
 
 class AcvFactorization:

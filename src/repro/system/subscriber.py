@@ -7,7 +7,8 @@ the CSSs it managed to extract during registration.  Receiving a broadcast
 * for each subdocument, look at its configuration header;
 * pick a member policy whose condition keys all have local CSSs;
 * build the KEV from those CSSs and the published nonces and compute
-  ``K = KEV . X``;
+  ``K = KEV . X`` (hashes of nonces already seen are reused from a
+  private :class:`~repro.gkm.acv.KevMemo`);
 * authenticated decryption confirms the key (a Sub that *thinks* it
   qualifies but holds a stale/garbage CSS just fails and tries the next
   policy).
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional
 
 from repro.documents.package import BroadcastPackage, ConfigHeader
 from repro.errors import DecryptionError, RegistrationError
-from repro.gkm.acv import AcvBgkm
+from repro.gkm.acv import AcvBgkm, KevMemo
 from repro.gkm.buckets import BucketedHeader
 from repro.ocbe.base import OCBESetup
 from repro.system.identity import IdentityToken
@@ -53,6 +54,9 @@ class Subscriber:
         self._wallet: Dict[str, TokenWallet] = {}
         self.css_store: Dict[str, bytes] = {}
         self._gkm = AcvBgkm(params.gkm_field, params.hash_fn)
+        #: KEV hashes of the headers last seen, shared by the dense path and
+        #: the bucket scan; process-local, never persisted (see KevMemo).
+        self._kev_memo = KevMemo()
         self._ocbe = OCBESetup(
             pedersen=params.pedersen,
             hash_fn=params.hash_fn,
@@ -95,6 +99,7 @@ class Subscriber:
         :attr:`css_store` directly, so the write-ahead record is on disk
         before any later broadcast relies on the secret being held."""
         self.css_store[condition_key] = css
+        self._kev_memo.clear()
         if self.journal is not None:
             self.journal.css_extracted(condition_key, css)
 
@@ -142,9 +147,11 @@ class Subscriber:
 
     # -- broadcast consumption ---------------------------------------------------
 
-    def _derive_config_key(self, header: ConfigHeader) -> List[bytes]:
+    def _derive_config_key(self, header: ConfigHeader, position: int) -> List[bytes]:
         """Candidate symmetric keys for a configuration, one per satisfiable
-        policy (most Subs satisfy at most one).
+        policy (most Subs satisfy at most one).  ``position`` is the
+        header's index in its package: with the bucket index it names the
+        memo slot, so configurations sharing a CSS tuple keep apart.
 
         A bucketed header yields one candidate per bucket: the Sub does
         not learn its bucket index (publishing an assignment would leak
@@ -154,20 +161,23 @@ class Subscriber:
         """
         if header.acv is None:
             return []
+        buckets = (
+            header.acv.buckets
+            if isinstance(header.acv, BucketedHeader)
+            else (header.acv,)
+        )
         candidates = []
         for condition_keys in header.policies:
             if all(key in self.css_store for key in condition_keys):
                 css = tuple(self.css_store[key] for key in condition_keys)
-                if isinstance(header.acv, BucketedHeader):
-                    key_ints = [
-                        self._gkm.derive(bucket, css)
-                        for bucket in header.acv.buckets
-                    ]
-                else:
-                    key_ints = [self._gkm.derive(header.acv, css)]
                 candidates.extend(
-                    self._gkm.export_key(key_int, self.params.key_len)
-                    for key_int in key_ints
+                    self._gkm.export_key(
+                        self._gkm.derive(
+                            bucket, css, self._kev_memo, (position, index)
+                        ),
+                        self.params.key_len,
+                    )
+                    for index, bucket in enumerate(buckets)
                 )
         return candidates
 
@@ -179,8 +189,10 @@ class Subscriber:
         random without the key).
         """
         keys_by_config: Dict[str, List[bytes]] = {}
-        for header in package.headers:
-            keys_by_config[header.config_id] = self._derive_config_key(header)
+        for position, header in enumerate(package.headers):
+            keys_by_config[header.config_id] = self._derive_config_key(
+                header, position
+            )
         plaintexts: Dict[str, bytes] = {}
         for sub in package.subdocuments:
             for key in keys_by_config.get(sub.config_id, []):

@@ -1,12 +1,14 @@
 """Tests for hash functions and hash-to-field helpers."""
 
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.hashes import (
+    _REGISTRY,
     PureSha1,
     PureSha256,
     default_hash,
@@ -81,6 +83,25 @@ class TestExpandAndRange:
         long = expand_message(h, b"seed", 100)
         short = expand_message(h, b"seed", 40)
         assert long[:40] == short
+
+    @pytest.mark.parametrize("name", sorted(_REGISTRY))
+    def test_expand_matches_length_summing_loop(self, name):
+        """The block count computed up front gives the bytes of the loop
+        that re-summed block lengths until it had ``out_len``."""
+
+        def summing_loop(h, data, out_len):
+            blocks = []
+            counter = 0
+            while sum(len(b) for b in blocks) < out_len:
+                blocks.append(h.digest(struct.pack(">I", counter) + data))
+                counter += 1
+            return b"".join(blocks)[:out_len]
+
+        h = _REGISTRY[name]
+        for out_len in range(201):
+            assert expand_message(h, b"seed", out_len) == summing_loop(
+                h, b"seed", out_len
+            )
 
     def test_expand_negative(self):
         with pytest.raises(InvalidParameterError):

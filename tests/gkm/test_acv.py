@@ -13,7 +13,15 @@ from repro.errors import (
     KeyDerivationError,
     SerializationError,
 )
-from repro.gkm.acv import FAST_FIELD, PAPER_FIELD, AcvBgkm, AcvHeader, _auto_z_bytes
+from repro.crypto.hashes import sha1
+from repro.gkm.acv import (
+    FAST_FIELD,
+    PAPER_FIELD,
+    AcvBgkm,
+    AcvHeader,
+    KevMemo,
+    _auto_z_bytes,
+)
 
 
 @pytest.fixture
@@ -260,3 +268,156 @@ class TestHostileHeaders:
         )
         assert AcvHeader.from_bytes(same_q) == header
         assert AcvHeader.from_bytes(same_z) == header
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Counts the ``hash_concat`` calls ACV derivation makes."""
+    import repro.gkm.acv as acv
+
+    calls = [0]
+    original = acv.hash_concat
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(acv, "hash_concat", counting)
+    return calls
+
+
+class TestKevMemo:
+    """The subscriber memo of KEV hashes: same keys as the memo-less
+    reference path, hashing only nonces not seen at the same slot."""
+
+    def test_identical_nonces_hash_nothing(self, gkm, rng, hash_calls):
+        rows = make_rows(rng, 6)
+        _, _, fact = gkm.generate_with_factorization(rows, rng=rng)
+        memo = KevMemo()
+        key, header = gkm.rekey_from_factorization(fact, rng=rng)
+        assert gkm.derive(header, rows[2], memo) == key
+        # A cache hit: same nonces, a fresh key and combination.
+        key2, header2 = gkm.rekey_from_factorization(fact, rng=rng)
+        hash_calls[0] = 0
+        assert gkm.derive(header2, rows[2], memo) == key2
+        assert hash_calls[0] == 0
+
+    def test_pure_join_hashes_only_appended_nonces(self, gkm, rng, hash_calls):
+        rows = make_rows(rng, 5)
+        key, header, fact = gkm.generate_with_factorization(rows, rng=rng)
+        memo = KevMemo()
+        assert gkm.derive(header, rows[0], memo) == key
+        fact.extend(make_rows(rng, 3), added_capacity=3, rng=rng)
+        key2, header2 = gkm.rekey_from_factorization(fact, rng=rng)
+        assert header2.zs[:5] == header.zs
+        hash_calls[0] = 0
+        assert gkm.derive(header2, rows[0], memo) == key2
+        assert hash_calls[0] == sum(1 for v in header2.x[6:] if v)
+        assert hash_calls[0] <= 3
+
+    def test_fresh_nonces_hash_like_the_reference(self, gkm, rng, hash_calls):
+        rows = make_rows(rng, 5)
+        memo = KevMemo()
+        for _ in range(3):
+            key, header = gkm.generate(rows, n_max=8, rng=rng)
+            hash_calls[0] = 0
+            assert gkm.derive(header, rows[1], memo) == key
+            with_memo = hash_calls[0]
+            hash_calls[0] = 0
+            assert gkm.derive(header, rows[1]) == key
+            assert with_memo == hash_calls[0]
+
+    def test_zero_columns_filled_when_x_uses_them(self, rng):
+        """A sparse X skips hashes; a later X over the same nonces that
+        uses those columns gets them hashed, not read as zero."""
+        gkm = AcvBgkm(FAST_FIELD)
+        rows = make_rows(rng, 2)
+        _, _, fact = gkm.generate_with_factorization(rows, n_max=12, rng=rng)
+        memo = KevMemo()
+        outsider = (b"outsider",)
+        for _ in range(8):
+            key, header = gkm.rekey_from_factorization(fact, rng=rng)
+            assert 0 in header.x[1:]
+            for css in rows + [outsider]:
+                assert gkm.derive(header, css, memo) == gkm.derive(header, css)
+            assert gkm.derive(header, rows[0], memo) == key
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            (AcvHeader(q=FAST_FIELD.p, x=(1,), zs=(b"aaaa", b"bbbb")), "arity"),
+            (AcvHeader(q=0, x=(1, 2, 3), zs=(b"aaaa", b"bbbb")), "modulus"),
+            (AcvHeader(q=1, x=(1, 2, 3), zs=(b"aaaa", b"bbbb")), "modulus"),
+            (AcvHeader(q=FAST_FIELD.p, x=(5,), zs=()), "no nonces"),
+        ],
+    )
+    def test_hostile_headers_fail_typed_with_and_without_memo(
+        self, gkm, header, match
+    ):
+        memo = KevMemo()
+        for path in (None, memo):
+            with pytest.raises(KeyDerivationError, match=match):
+                gkm.derive(header, [b"css"], path)
+        assert len(memo) == 0
+
+    def test_changed_later_nonce_is_not_reused(self, gkm, rng):
+        rows = make_rows(rng, 4)
+        key, header = gkm.generate(rows, rng=rng)
+        memo = KevMemo()
+        assert gkm.derive(header, rows[0], memo) == key
+        zs = list(header.zs)
+        zs[-1] = bytes(b ^ 0xFF for b in zs[-1])
+        forged = AcvHeader(q=header.q, x=header.x, zs=tuple(zs))
+        # Also longer than the memoised tuple but not an extension of it.
+        longer = AcvHeader(
+            q=header.q, x=header.x + (7,), zs=forged.zs + (b"\x01" * 4,)
+        )
+        for other in (forged, longer):
+            assert gkm.derive(header, rows[0], memo) == key
+            assert other.zs[0] == header.zs[0]
+            assert gkm.derive(other, rows[0], memo) == gkm.derive(other, rows[0])
+
+    def test_changed_nonce_width_is_not_reused(self, gkm, rng):
+        rows = make_rows(rng, 4)
+        key, header = gkm.generate(rows, rng=rng, z_bytes=8)
+        memo = KevMemo()
+        assert gkm.derive(header, rows[0], memo) == key
+        wider = AcvHeader(
+            q=header.q, x=header.x, zs=tuple(z + b"\x00" for z in header.zs)
+        )
+        narrower = AcvHeader(
+            q=header.q, x=header.x, zs=tuple(z[:4] for z in header.zs)
+        )
+        for forged in (wider, narrower, header):
+            assert gkm.derive(forged, rows[0], memo) == gkm.derive(
+                forged, rows[0]
+            )
+
+    def test_changed_modulus_is_not_reused(self, gkm, rng):
+        rows = make_rows(rng, 3)
+        key, header = gkm.generate(rows, rng=rng)
+        memo = KevMemo()
+        assert gkm.derive(header, rows[0], memo) == key
+        other_q = AcvHeader(q=PAPER_FIELD.p, x=header.x, zs=header.zs)
+        assert gkm.derive(other_q, rows[0], memo) == gkm.derive(other_q, rows[0])
+
+    def test_memo_is_bound_to_the_hash_function(self, rng):
+        fast, paper_hash = AcvBgkm(FAST_FIELD), AcvBgkm(FAST_FIELD, sha1)
+        rows = make_rows(rng, 3)
+        key, header = fast.generate(rows, rng=rng)
+        memo = KevMemo()
+        assert fast.derive(header, rows[0], memo) == key
+        assert paper_hash.derive(header, rows[0], memo) == paper_hash.derive(
+            header, rows[0]
+        )
+
+    def test_fresh_nonce_rekeys_keep_one_entry_per_slot(self, gkm, rng):
+        rows = make_rows(rng, 3)
+        memo = KevMemo()
+        for _ in range(200):
+            key, header = gkm.generate(rows, rng=rng)
+            assert gkm.derive(header, rows[0], memo) == key
+            assert gkm.derive(header, rows[1], memo, slot=1) == key
+            assert len(memo) == 2
+        memo.clear()
+        assert len(memo) == 0

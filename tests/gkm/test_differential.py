@@ -4,7 +4,7 @@ A publish-path optimisation is only safe if it is *behaviorally
 invisible*: for any member set, bucket count and join/revoke history,
 members derive exactly the key the baseline scheme would give them and
 everyone else fails exactly as before.  This file proves it
-differentially for two strategy swaps:
+differentially for three swaps:
 
 * **bucketed vs dense** (PR 5) -- at the core, flat-adapter (including
   ``member_state()`` checkpoint round trips) and load-engine levels;
@@ -13,7 +13,11 @@ differentially for two strategy swaps:
   joins must produce headers with identical derivation and lockout
   behaviour to a full re-solve, across join-only and join/revoke
   interleaved scripts, dense and bucketed, cold restarts mid-sequence,
-  and (end to end) the warm-churn scenario on both load drivers.
+  and (end to end) the warm-churn scenario on both load drivers;
+* **memo vs reference derivation** -- a :class:`~repro.system.subscriber.Subscriber`
+  reusing KEV hashes through its memo must derive exactly the keys of the
+  memo-less :meth:`~repro.gkm.acv.AcvBgkm.derive`, across join, revoke
+  and credential-replacement scripts, dense and bucketed.
 """
 
 import dataclasses
@@ -23,8 +27,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.hashes import default_hash
+from repro.crypto.pedersen import PedersenParams
+from repro.crypto.symmetric import default_cipher
+from repro.documents.package import (
+    BroadcastPackage,
+    ConfigHeader,
+    EncryptedSubdocument,
+)
 from repro.errors import KeyDerivationError
 from repro.gkm.acv import FAST_FIELD, AcvBgkm, AcvBroadcastGkm
+from repro.gkm.buckets import BucketedHeader
 from repro.gkm.buckets import BucketedAcvBgkm, BucketedBroadcastGkm
 from repro.gkm.strategy import (
     AcvBuildCache,
@@ -33,7 +46,10 @@ from repro.gkm.strategy import (
     build_strategy,
 )
 from repro.load import LoadEngine, bucketed, smoke_scenario
+from repro.groups import get_group
 from repro.load.scenarios import warm_churn_scenario
+from repro.system.publisher import SystemParams
+from repro.system.subscriber import Subscriber
 from repro.workloads.generator import make_css_rows
 
 
@@ -393,6 +409,102 @@ def test_extension_parity_on_the_paper_field():
     assert core.derive(header2, (b"outsider",)) != key2
     rebuilt = core.build_matrix(fact.rows, fact.zs)
     assert fact.null_basis() == rebuilt.null_space()
+
+
+# -- subscriber memo vs reference derivation ----------------------------------
+
+_MEMO_PARAMS = SystemParams(
+    pedersen=PedersenParams(get_group("nist-p192")),
+    idmgr_public_key=None,
+    gkm_field=FAST_FIELD,
+    hash_fn=default_hash(),
+    cipher=default_cipher(),
+    key_len=16,
+    attribute_bits=8,
+)
+
+
+def _memo_package(core, key, header):
+    """One single-condition configuration over ``header``, through bytes."""
+    sym_key = core.export_key(key, _MEMO_PARAMS.key_len)
+    package = BroadcastPackage(
+        document="doc",
+        headers=(ConfigHeader("cfg", (("cond",),), header),),
+        subdocuments=(
+            EncryptedSubdocument(
+                "body", "cfg", _MEMO_PARAMS.cipher.encrypt(sym_key, b"payload")
+            ),
+        ),
+    )
+    return BroadcastPackage.from_bytes(package.to_bytes())
+
+
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.sampled_from(["join", "publish", "replace"]),
+            st.integers(min_value=0, max_value=10),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+    gkm=st.sampled_from(["dense", "bucketed"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_subscriber_memo_matches_reference_derivation(ops, gkm, seed):
+    """Random join / revoke / credential-replacement / plain-republish
+    scripts through a warm build cache (so headers repeat and extend
+    nonces): every member's memo-backed candidate keys equal the
+    memo-less derivation bucket for bucket, members decrypt, and revoked
+    members -- whose memos stay warm -- and replaced credentials are
+    locked out."""
+    rng = random.Random(seed)
+    core = AcvBgkm(FAST_FIELD)
+    cache = AcvBuildCache()
+    strategy = build_strategy(
+        gkm, core, cache, bucket_size=3 if gkm == "bucketed" else None
+    )
+    live, revoked, stale_css = [], [], []
+
+    def new_css():
+        return bytes(rng.randrange(256) for _ in range(16))
+
+    for op in ops:
+        if op == "join" or not live:
+            sub = Subscriber("pn-%d" % (len(live) + len(revoked)), _MEMO_PARAMS)
+            sub.store_css("cond", new_css())
+            live.append(sub)
+            cache.note_join()
+        elif op == "replace":
+            sub = live[rng.randrange(len(live))]
+            stale_css.append(sub.css_store["cond"])
+            sub.store_css("cond", new_css())
+            cache.invalidate()
+        elif op != "publish":
+            revoked.append(live.pop(op % len(live)))
+            cache.invalidate()
+        rows = [(sub.css_store["cond"],) for sub in live]
+        key, header = strategy.build(rows, capacity=None, slack=0, rng=rng)
+        package = _memo_package(core, key, header)
+        wire_header = package.headers[0]
+        buckets = (
+            wire_header.acv.buckets
+            if isinstance(wire_header.acv, BucketedHeader)
+            else (wire_header.acv,)
+        )
+        for sub in live:
+            css = (sub.css_store["cond"],)
+            reference = [
+                core.export_key(core.derive(bucket, css), _MEMO_PARAMS.key_len)
+                for bucket in buckets
+            ]
+            assert sub._derive_config_key(wire_header, 0) == reference
+            assert sub.receive(package) == {"body": b"payload"}
+        for sub in revoked:
+            assert sub.receive(package) == {}
+        for css in stale_css:
+            assert all(core.derive(bucket, (css,)) != key for bucket in buckets)
 
 
 # -- end to end through the load engine --------------------------------------

@@ -112,6 +112,30 @@ class TestFullLifecycleRecovery:
         pub_store2.close()
         sub_store2.close()
 
+    def test_receiving_broadcasts_leaves_subscriber_state_unchanged(
+        self, tmp_path
+    ):
+        """Derivation memoises KEV hashes in process memory only: the
+        snapshot after several broadcasts is byte-identical to the one
+        before, and receiving journals nothing."""
+        idp, idmgr, pub, sub = build_world()
+        sub_store = SubscriberPersistence.attach(
+            str(tmp_path / "sub"), sub, sync=False
+        )
+        service, _, client = _register_everyone(
+            idp, idmgr, pub, sub, InMemoryTransport()
+        )
+        before = sub_store._build_snapshot().to_bytes()
+        pending = sub_store.store.pending_records
+        for _ in range(3):
+            service.publish(DOC)
+            run_until_idle([client])
+        assert sorted(client.documents[DOC.name]) == ["billing", "clinical"]
+        assert len(sub._kev_memo) > 0
+        assert sub_store._build_snapshot().to_bytes() == before
+        assert sub_store.store.pending_records == pending
+        sub_store.close()
+
     def test_revocation_survives_recovery(self, tmp_path):
         pub_dir = str(tmp_path / "pub")
         idp, idmgr, pub, sub = build_world()

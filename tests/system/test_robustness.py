@@ -55,6 +55,24 @@ class TestCorruptedSubscriberState:
             dave.css_store.update(saved)
 
 
+    def test_direct_css_write_cannot_serve_a_memoised_key(self, hospital):
+        # Derivation memoises KEV hashes keyed on the CSS bytes: a direct
+        # css_store write (bypassing store_css) changes the key, so the
+        # warm memo cannot hand back the old credential's hashes.
+        package = hospital.publisher.publish(hospital.document)
+        carol = hospital.subscribers["carol"]
+        entitled = carol.receive(package)
+        assert entitled
+        saved = dict(carol.css_store)
+        try:
+            carol.css_store["role = doc"] = b"\x00" * 16
+            assert carol.receive(package) == {}
+        finally:
+            carol.css_store.clear()
+            carol.css_store.update(saved)
+        assert carol.receive(package) == entitled
+
+
 class TestTamperedBroadcast:
     def test_tampered_ciphertext_rejected(self, hospital):
         package = hospital.publisher.publish(hospital.document)
